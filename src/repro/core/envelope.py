@@ -12,8 +12,9 @@ which Totem fragments at the Ethernet MTU: the mechanism behind Figure 6.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.giop.cdr import CdrInputStream, CdrOutputStream
@@ -315,6 +316,43 @@ def encode_envelope(envelope: Envelope) -> bytes:
     else:
         raise ProtocolError(f"cannot encode envelope {type(envelope).__name__}")
     return out.getvalue()
+
+
+_ULONG = struct.Struct(">I")
+
+
+def peek_iiop_target(data: bytes) -> Optional[str]:
+    """The target group of an encoded :class:`IiopEnvelope`, read off the
+    bytes without decoding the envelope; ``None`` for any other tag.
+
+    Lets a node that hosts no replica of the target group drop the
+    envelope before paying for :func:`decode_envelope`.  The offsets
+    follow :func:`encode_envelope`: the tag octet, the client and server
+    group strings (each a 4-aligned CDR ulong length counting the NUL,
+    then the bytes), then the kind octet.  Raises :class:`ProtocolError`
+    on truncated or corrupt bytes.
+    """
+    try:
+        if data[0] != _TAG_IIOP:
+            return None
+        client_len = _ULONG.unpack_from(data, 4)[0]
+        server_at = (8 + client_len + 3) & ~3
+        server_len = _ULONG.unpack_from(data, server_at)[0]
+        kind = data[server_at + 4 + server_len]
+    except (IndexError, struct.error) as exc:
+        raise ProtocolError(f"malformed envelope: truncated ({exc})") from exc
+    if kind == OpKind.REQUEST.value:
+        start, length = server_at + 4, server_len
+    elif kind == OpKind.REPLY.value:
+        start, length = 8, client_len
+    else:
+        raise ProtocolError(f"malformed envelope: unknown OpKind {kind}")
+    if length == 0 or data[start + length - 1] != 0:
+        raise ProtocolError("malformed envelope: group name missing NUL")
+    try:
+        return str(data[start:start + length - 1], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"malformed envelope: {exc}") from exc
 
 
 def decode_envelope(data: bytes) -> Envelope:

@@ -24,10 +24,12 @@ from repro.core.identifiers import ConnectionKey, OpKind, invocation_trace_id
 from repro.core.infra_state import InfraState
 from repro.core.orb_state import OrbStateTracker
 from repro.giop.messages import (
+    MsgType,
     ReplyMessage,
     RequestMessage,
     decode_message,
     encode_message,
+    peek_request_id,
 )
 from repro.obs.spans import SpanEmitter
 from repro.runtime.trace import NULL_TRACER, Tracer
@@ -167,15 +169,17 @@ class Interceptor:
 
     def capture_server_reply(self, connection: ConnectionKey,
                              data: bytes) -> None:
-        """Capture a reply produced by the local server replica."""
-        message = decode_message(data)
-        assert isinstance(message, ReplyMessage)
-        trace_id = self.trace_id(connection, message.request_id)
+        """Capture a reply produced by the local server replica.
+
+        Only the request id is read (no full GIOP decode); any message
+        other than a Reply raises :class:`~repro.errors.ProtocolError`."""
+        request_id = peek_request_id(data, expect=MsgType.REPLY)
+        trace_id = self.trace_id(connection, request_id)
         self.tracer.emit("interceptor", "reply", node=self.node_id,
                          conn=connection.as_str(),
-                         request_id=message.request_id, trace=trace_id)
+                         request_id=request_id, trace=trace_id)
         self._send(IiopEnvelope(connection, OpKind.REPLY,
-                                message.request_id, self.node_id, data))
+                                request_id, self.node_id, data))
 
     # ------------------------------------------------------------------
     # Incoming rewrite (before the ORB sees a reply)

@@ -34,6 +34,7 @@ from repro.core.envelope import (
     StateSet,
     decode_envelope,
     encode_envelope,
+    peek_iiop_target,
 )
 from repro.core.groupinfo import (
     GroupInfo,
@@ -196,6 +197,12 @@ class ReplicationMechanisms:
             self.store.handle_crash()
 
     def _on_deliver(self, origin: str, payload: bytes) -> None:
+        if self.gateway is None:
+            target = peek_iiop_target(payload)
+            if target is not None and target not in self.bindings:
+                # IIOP traffic for a group with no replica here: nothing
+                # to route, so skip the decode.
+                return
         envelope = decode_envelope(payload)
         if isinstance(envelope, IiopEnvelope):
             self._handle_iiop(envelope)

@@ -230,14 +230,19 @@ def decode_message(data: bytes) -> GiopMessage:
     raise ProtocolError(f"unsupported GIOP message type {header.msg_type!r}")
 
 
-def peek_request_id(data: bytes) -> Optional[int]:
+def peek_request_id(data: bytes,
+                    expect: Optional[MsgType] = None) -> Optional[int]:
     """Extract the request_id from raw GIOP bytes without a full decode.
 
     Returns None for message types that carry no request_id.  This is the
     interceptor's fast path for tracking each connection's ``request_id``
-    counter from outside the ORB (paper §4.2.1).
+    counter from outside the ORB (paper §4.2.1).  With ``expect`` set, a
+    message of any other type raises :class:`ProtocolError`.
     """
     header = decode_header(data)
+    if expect is not None and header.msg_type is not expect:
+        raise ProtocolError(f"expected a GIOP {expect.name}, "
+                            f"got {header.msg_type.name}")
     if header.msg_type not in (MsgType.REQUEST, MsgType.REPLY,
                                MsgType.CANCEL_REQUEST,
                                MsgType.LOCATE_REQUEST, MsgType.LOCATE_REPLY):

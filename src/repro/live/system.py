@@ -46,14 +46,6 @@ LIVE_TOTEM_CONFIG = TotemConfig(
     probe_interval=0.5,
 )
 
-#: Record streams muted at the tracer in live runs — but only while the
-#: telemetry config also flight-excludes them, so a full-fidelity config
-#: (``flight_exclude=()``) still sees every record (counters keep
-#: counting either way; see ``Tracer.set_muted_events`` and the note in
-#: ``LiveSystem.__init__``).
-LIVE_TRACE_MUTE = frozenset({"totem.deliver", "replication.duplicate"})
-
-
 class LiveSystem(SystemCore):
     """A complete live (loopback-UDP, wall-clock) Eternal deployment.
 
@@ -107,23 +99,6 @@ class LiveSystem(SystemCore):
         # A ring of a sharded facade adopts the facade's plane and must not
         # tear it down in close(); the facade owns that lifecycle.
         self._owns_observability = shared_observability is None
-        # The two highest-volume record streams in a live run have no
-        # consumer under the default telemetry config: ``totem.deliver``
-        # and ``replication.duplicate`` are flight-excluded and ignored
-        # by the metrics registry, the auditor, and the profiler alike —
-        # yet at ~35% of all records their construction and four-way
-        # fan-out is measurable on the hot path.  Mute them at the
-        # tracer, but only while the flight recorder would drop them
-        # anyway: a config with a narrower ``flight_exclude`` (e.g. the
-        # full-fidelity ``()``) has a consumer — report stitching reads
-        # ``totem.deliver`` for the ring_deliver stage — so those
-        # streams must keep flowing.  Counters (which the benches read)
-        # keep counting either way.
-        excluded = set(self.telemetry.config.flight_exclude)
-        self.tracer.set_muted_events(frozenset(
-            stream for stream in LIVE_TRACE_MUTE
-            if stream in excluded
-            or stream.partition(".")[0] in excluded))
         self.segment = SegmentDispatcher()
         self.segment.open(loop)
         self.nodes: Dict[str, LiveNode] = {

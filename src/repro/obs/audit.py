@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.identifiers import ConnectionKey, DuplicateFilter, OpKind, OperationId
 from repro.obs.spans import SPAN_CATEGORY, SpanTracker
-from repro.runtime.trace import TraceRecord, Tracer
+from repro.runtime.trace import TraceRecord, Tracer, declared_interest
 
 AUDIT_CATEGORY = "audit"
 
@@ -130,6 +130,9 @@ class ConsistencyAuditor:
     def __init__(self, *, metrics=None) -> None:
         self.metrics = metrics
         self.findings: List[AuditFinding] = []
+        #: Records delivered to the auditor: the events its rules consume
+        #: when bound to a tracer, every record when fed
+        #: :meth:`from_records`.
         self.records_scanned = 0
         self._finished = False
         # Every shadow structure below is keyed by the ring (shard) label
@@ -174,7 +177,8 @@ class ConsistencyAuditor:
         """
         if tracer.open_spans is not None:
             self._preexisting_spans = frozenset(tracer.open_spans)
-        tracer.subscribe(self.observe)
+        tracer.subscribe(self.observe,
+                         wants=declared_interest(self.RECORD_HANDLERS))
         return self
 
     @classmethod
@@ -227,43 +231,31 @@ class ConsistencyAuditor:
     # ------------------------------------------------------------------
 
     def observe(self, record: TraceRecord) -> None:
-        """Consume one trace record (subscriber entry point)."""
+        """Consume one trace record (subscriber entry point): count it in
+        :attr:`records_scanned`, then dispatch on ``(category, event)``,
+        falling back to ``(category, None)`` for whole-category rules."""
         self.records_scanned += 1
-        category = record.category
-        if category == SPAN_CATEGORY:
-            self._spans.feed(record)
-        elif category == AUDIT_CATEGORY:
-            if record.event == "state_digest":
-                self._on_state_digest(record)
-            elif record.event == "order_digest":
-                self._on_order_digest(record)
-        elif category == "replication":
-            if record.event == "delivered":
-                self._on_delivered(record)
-            elif record.event in ("binding_created", "binding_destroyed"):
-                self._on_binding_reset(record)
-        elif category == "recovery":
-            self._on_recovery_event(record)
-        elif category == "replica":
-            if record.event == "executed":
-                self._on_executed(record)
-            elif record.event == "set_state":
-                self._on_set_state(record)
-        elif category == "totem":
-            if record.event == "install":
-                ring = self._ring_of(record)
-                node = record.fields.get("node", "")
-                ring_id = int(record.fields.get("ring_id", 0))
-                self._node_ring[(ring, node)] = ring_id
-                self._ring_members[(ring, ring_id)] = tuple(
-                    record.fields.get("members", ()))
-            elif record.event == "gather":
-                self._node_ring[
-                    (self._ring_of(record), record.fields.get("node", ""))
-                ] = None
-        elif category == "lease":
-            if record.event == "read_served":
-                self._on_read_served(record)
+        handlers = self.RECORD_HANDLERS
+        handler = (handlers.get((record.category, record.event))
+                   or handlers.get((record.category, None)))
+        if handler is not None:
+            handler(self, record)
+
+    def _on_span(self, record: TraceRecord) -> None:
+        self._spans.feed(record)
+
+    def _on_install(self, record: TraceRecord) -> None:
+        ring = self._ring_of(record)
+        node = record.fields.get("node", "")
+        ring_id = int(record.fields.get("ring_id", 0))
+        self._node_ring[(ring, node)] = ring_id
+        self._ring_members[(ring, ring_id)] = tuple(
+            record.fields.get("members", ()))
+
+    def _on_gather(self, record: TraceRecord) -> None:
+        self._node_ring[
+            (self._ring_of(record), record.fields.get("node", ""))
+        ] = None
 
     @staticmethod
     def _ring_of(record: TraceRecord) -> str:
@@ -475,6 +467,26 @@ class ConsistencyAuditor:
                     group=group, node=node, ring=ring,
                 )
                 return
+
+    #: ``(category, event)`` -> rule; ``event`` ``None`` takes every event
+    #: of the category.  Also the auditor's declared interest
+    #: (:meth:`bind`): it is delivered exactly these records.
+    RECORD_HANDLERS: Dict[Tuple[str, Optional[str]],
+                          Callable[["ConsistencyAuditor", TraceRecord],
+                                   None]] = {
+        (SPAN_CATEGORY, None): _on_span,
+        (AUDIT_CATEGORY, "state_digest"): _on_state_digest,
+        (AUDIT_CATEGORY, "order_digest"): _on_order_digest,
+        ("replication", "delivered"): _on_delivered,
+        ("replication", "binding_created"): _on_binding_reset,
+        ("replication", "binding_destroyed"): _on_binding_reset,
+        ("recovery", None): _on_recovery_event,
+        ("replica", "executed"): _on_executed,
+        ("replica", "set_state"): _on_set_state,
+        ("totem", "install"): _on_install,
+        ("totem", "gather"): _on_gather,
+        ("lease", "read_served"): _on_read_served,
+    }
 
     # ------------------------------------------------------------------
     # End-of-stream checks

@@ -244,6 +244,10 @@ def render_health(system, *, auditor=None) -> str:
         lines.append("# TYPE eternal_audit_ok gauge")
         lines.append(_series("eternal_audit_ok", {},
                              1 if auditor.ok else 0))
+        lines.append("# HELP eternal_audit_records_scanned trace records "
+                     "delivered to the auditor (the events its rules "
+                     "consume)")
+        lines.append("# TYPE eternal_audit_records_scanned counter")
         lines.append(_series("eternal_audit_records_scanned", {},
                              auditor.records_scanned))
         by_invariant = auditor.findings_by_invariant()

@@ -22,9 +22,9 @@ come straight from here.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.runtime.trace import TraceRecord, Tracer
+from repro.runtime.trace import TraceRecord, Tracer, declared_interest
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -231,52 +231,24 @@ class MetricsRegistry:
     def bind(self, tracer: Tracer) -> None:
         """Subscribe to a tracer: every completed span becomes a duration
         sample in histogram ``span.<name>`` labelled by the span's ``node``
-        and ``group`` attrs; ``spans.open`` gauges the in-flight count."""
-        tracer.subscribe(self.observe_record)
+        and ``group`` attrs; ``spans.open`` gauges the in-flight count.
+        The subscription declares exactly the events
+        :attr:`RECORD_HANDLERS` handles, so no other record is built for
+        the registry."""
+        tracer.subscribe(self.observe_record,
+                         wants=declared_interest(self.RECORD_HANDLERS))
 
     def observe_record(self, record: TraceRecord) -> None:
-        """Live trace subscriber (installed by :meth:`bind`)."""
-        if record.category == "fault_detector":
-            self._observe_fault_detector(record)
-            return
-        if record.category == "delta":
-            self._observe_delta(record)
-            return
-        if record.category == "bulk":
-            self._observe_bulk(record)
-            return
-        if record.category == "store":
-            self._observe_store(record)
-            return
-        if (record.category == "recovery"
-                and record.event == "set_state_multicast"):
-            labels = {k: record.fields[k]
-                      for k in ("node", "group", "ring")
-                      if k in record.fields}
-            self.counter("state.bytes", lane="inorder", **labels).inc(
-                record.fields.get("app_bytes", 0))
-        if record.category == "totem" and record.event == "token":
-            self._observe_token(record)
-            return
-        if record.category == "totem" and record.event == "packed_frame":
-            labels = {k: record.fields[k] for k in ("node", "ring")
-                      if k in record.fields}
-            self.histogram("totem.payloads_per_frame", **labels).record(
-                record.fields.get("payloads", 1))
-            return
-        if record.category == "live" and record.event == "recv_batch":
-            labels = {k: record.fields[k] for k in ("node", "ring")
-                      if k in record.fields}
-            self.histogram("live.sys.recv_batch_size", **labels).record(
-                record.fields.get("n", 1))
-            return
-        if record.category == "lease":
-            labels = {k: record.fields[k] for k in ("node", "ring")
-                      if k in record.fields}
-            self.counter(f"lease.{record.event}", **labels).inc()
-            return
-        if record.category != "span":
-            return
+        """Live trace subscriber (installed by :meth:`bind`): dispatch on
+        ``(category, event)``, then on ``(category, None)`` for handlers
+        that take a whole category."""
+        handlers = self.RECORD_HANDLERS
+        handler = (handlers.get((record.category, record.event))
+                   or handlers.get((record.category, None)))
+        if handler is not None:
+            handler(self, record)
+
+    def _observe_span(self, record: TraceRecord) -> None:
         span_id = record.fields.get("span")
         if span_id is None:
             return
@@ -293,6 +265,29 @@ class MetricsRegistry:
                     record.time - start.time
                 )
         self.gauge("spans.open").set(len(self._open_spans))
+
+    def _observe_state_multicast(self, record: TraceRecord) -> None:
+        labels = {k: record.fields[k] for k in ("node", "group", "ring")
+                  if k in record.fields}
+        self.counter("state.bytes", lane="inorder", **labels).inc(
+            record.fields.get("app_bytes", 0))
+
+    def _observe_packed_frame(self, record: TraceRecord) -> None:
+        labels = {k: record.fields[k] for k in ("node", "ring")
+                  if k in record.fields}
+        self.histogram("totem.payloads_per_frame", **labels).record(
+            record.fields.get("payloads", 1))
+
+    def _observe_recv_batch(self, record: TraceRecord) -> None:
+        labels = {k: record.fields[k] for k in ("node", "ring")
+                  if k in record.fields}
+        self.histogram("live.sys.recv_batch_size", **labels).record(
+            record.fields.get("n", 1))
+
+    def _observe_lease(self, record: TraceRecord) -> None:
+        labels = {k: record.fields[k] for k in ("node", "ring")
+                  if k in record.fields}
+        self.counter(f"lease.{record.event}", **labels).inc()
 
     def _observe_delta(self, record: TraceRecord) -> None:
         """Turn delta-state-transfer trace events into counters: how many
@@ -435,6 +430,22 @@ class MetricsRegistry:
             self.counter("fault_detector.false_positives", **labels).inc()
         elif record.event == "report":
             self.counter("fault_detector.reports", **labels).inc()
+
+    #: ``(category, event)`` -> handler; ``event`` ``None`` takes every
+    #: event of the category.  Also the registry's declared interest.
+    RECORD_HANDLERS: Dict[Tuple[str, Optional[str]],
+                          Callable[["MetricsRegistry", TraceRecord], None]] = {
+        ("span", None): _observe_span,
+        ("fault_detector", None): _observe_fault_detector,
+        ("delta", None): _observe_delta,
+        ("bulk", None): _observe_bulk,
+        ("store", None): _observe_store,
+        ("lease", None): _observe_lease,
+        ("recovery", "set_state_multicast"): _observe_state_multicast,
+        ("totem", "token"): _observe_token,
+        ("totem", "packed_frame"): _observe_packed_frame,
+        ("live", "recv_batch"): _observe_recv_batch,
+    }
 
     # -- aggregation and reporting ----------------------------------------
 

@@ -57,7 +57,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
 from repro.obs.spans import END_EVENT, SPAN_CATEGORY, START_EVENT
-from repro.runtime.trace import TraceRecord, Tracer
+from repro.runtime.trace import TraceRecord, Tracer, declared_interest
 
 #: Folded-stack root used for samples taken while no span was open.
 UNATTRIBUTED = "(no-span)"
@@ -203,7 +203,8 @@ class SpanResourceProfiler:
             if self.config.alloc_trace and not tracemalloc.is_tracing():
                 tracemalloc.start()
                 self._started_tracemalloc = True
-            tracer.subscribe(self.observe_record)
+            tracer.subscribe(self.observe_record,
+                             wants=declared_interest({(SPAN_CATEGORY, None)}))
         return self
 
     def release(self) -> None:
@@ -215,11 +216,12 @@ class SpanResourceProfiler:
     # -- hot path ----------------------------------------------------------
 
     def observe_record(self, record: TraceRecord) -> None:
-        """Live trace subscriber (installed by :meth:`attach`): one
-        category compare per record, then span bookkeeping for span
-        records only.  Kept as a two-level dispatch so the overhead bench
-        can probe :meth:`observe_span` — the real per-span cost — without
-        its own instrumentation drowning in the per-record early-outs."""
+        """Live trace subscriber (installed by :meth:`attach`, which
+        declares interest in span records only, so the tracer builds no
+        other record for the profiler): one category compare, then span
+        bookkeeping.  Kept as a two-level dispatch so the overhead bench
+        can probe :meth:`observe_span` — the real per-span cost — on its
+        own."""
         if record.category == SPAN_CATEGORY:
             self.observe_span(record)
 

@@ -40,7 +40,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.exporters import export_jsonl
 from repro.runtime.timers import PeriodicTimer
-from repro.runtime.trace import TraceRecord
+from repro.runtime.trace import TraceRecord, declared_interest
 
 #: Ring key for trace records that carry no ``node`` field (system-wide
 #: administration events); they ride along in every dump.
@@ -105,8 +105,9 @@ class FlightDump:
 class FlightRecorder:
     """Bounded per-node rings of recent trace records.
 
-    Subscribed to the system tracer, it appends every record to the ring of
-    the node named in the record's fields (``GLOBAL_LANE`` otherwise) and
+    Subscribed to the system tracer (:meth:`attach`), it appends every
+    record not named by ``flight_exclude`` to the ring of the node named
+    in the record's fields (``GLOBAL_LANE`` otherwise) and
     triggers an automatic dump of a node's ring — global lane included —
     when that node dies (``fault.crash``).  Audit findings arrive through
     :meth:`record_finding` (wired by ``SystemCore.attach_auditor``) and
@@ -151,17 +152,28 @@ class FlightRecorder:
             ring = self._rings[lane] = []
         return ring
 
-    def note(self, record: TraceRecord) -> None:
-        """Tracer subscriber: ring the record, auto-dump on a crash.
+    def wants(self, category: str, event: str) -> bool:
+        """The recorder's declared interest: every event not named by
+        ``flight_exclude``.  The tracer applies it once per event, so
+        excluded records are never even built for the recorder."""
+        sel = self._skip.get(category)
+        return sel is None or (sel is not True and event not in sel)
 
-        Runs for every record the system emits, so the dispatcher does
-        only the exclusion check; :meth:`_admit` (separately so the
-        obs-overhead bench can time ring admission without paying two
-        clock reads on every *skipped* record too) does one dict lookup,
-        one list append, and an amortized batch trim."""
-        sel = self._skip.get(record.category)
-        if sel is not None and (sel is True or record.event in sel):
-            return
+    def attach(self, tracer) -> None:
+        """Subscribe to ``tracer``: :meth:`note` for every event
+        :meth:`wants` admits, then :meth:`on_crash` for ``fault.crash``
+        alone (after :meth:`note`, so the dump includes the crash)."""
+        tracer.subscribe(self.note, wants=self.wants)
+        if self.wants("fault", "crash"):
+            tracer.subscribe(self.on_crash,
+                             wants=declared_interest({("fault", "crash")}))
+
+    def note(self, record: TraceRecord) -> None:
+        """Tracer subscriber: ring one admitted record (see :meth:`wants`).
+
+        The work is in :meth:`_admit`, separately so the obs-overhead
+        bench can time ring admission: one dict lookup, one list append,
+        and an amortized batch trim."""
         self._admit(record)
 
     def _admit(self, record: TraceRecord) -> None:
@@ -174,9 +186,13 @@ class FlightRecorder:
         tape.append(record)
         if len(tape) >= self._trim_at:
             del tape[:-self._capacity]
-        if record.category == "fault" and record.event == "crash":
-            self.dump(node=GLOBAL_LANE if lane is None else str(lane),
-                      reason="crash")
+
+    def on_crash(self, record: TraceRecord) -> None:
+        """Tracer subscriber for ``fault.crash``: dump the dead node's
+        ring, global lane included."""
+        lane = record.fields.get("node")
+        self.dump(node=GLOBAL_LANE if lane is None else str(lane),
+                  reason="crash")
 
     def record_finding(self, finding) -> None:
         """Ring an audit finding (as a synthetic ``audit.finding`` record)
@@ -323,7 +339,7 @@ class TelemetryPlane:
         self.flight = FlightRecorder(config, clock)
         self.history = MetricsHistory(metrics, config.history_capacity)
         if config.enabled:
-            tracer.subscribe(self.flight.note)
+            self.flight.attach(tracer)
 
     @property
     def enabled(self) -> bool:

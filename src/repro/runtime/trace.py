@@ -16,16 +16,33 @@ and the timeline tools all read one stream.
 Filtering semantics (see :meth:`Tracer.emit`):
 
 * **counters always update**, regardless of configuration;
-* ``enabled_categories`` gates *both* record retention and subscriber
-  notification, uniformly — a disabled category is invisible to every
-  consumer of the record stream, while its counters keep counting.
+* ``enabled_categories`` (and :meth:`Tracer.set_disabled_categories`)
+  gate *both* record retention and subscriber notification, uniformly —
+  a disabled category is invisible to every consumer of the record
+  stream, while its counters keep counting;
+* a subscriber may **declare the events it consumes** with
+  ``subscribe(fn, wants=...)``: ``wants(category, event)`` is asked once
+  per event and the subscriber then receives exactly the records it
+  answered yes for.  A subscriber that declares nothing receives every
+  record.  A :class:`TraceRecord` is built only when it is retained or at
+  least one subscriber wants it, so a high-volume event nobody consumes
+  (``net.*``, ``totem.deliver`` …) costs one counter bump.  The in-tree
+  consumers (metrics, flight recorder, auditor, profiler) derive their
+  declarations from their own dispatch tables with
+  :func:`declared_interest`, so what they ask for and what they handle
+  cannot drift apart.
+
+The per-event decisions live in a route table keyed by
+``(category, event)``, built on first emit and cleared whenever a
+subscriber or a category filter changes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,13 +67,29 @@ class TraceRecord:
         return f"[{self.time:.6f}] {self.category}.{self.event} {kv}"
 
 
+#: A subscriber's declared interest: ``wants(category, event)`` is True
+#: for each event whose records the subscriber consumes.
+Wants = Callable[[str, str], bool]
+
+Subscriber = Callable[[TraceRecord], None]
+
+
+def declared_interest(keys: Iterable[Tuple[str, Optional[str]]]) -> Wants:
+    """The :data:`Wants` predicate of a ``(category, event)`` dispatch
+    table's keys; an ``event`` of ``None`` stands for every event of the
+    category."""
+    keys = frozenset(keys)
+    return lambda category, event: ((category, event) in keys
+                                    or (category, None) in keys)
+
+
 class Tracer:
     """Collects trace records and counters.
 
     ``enabled_categories`` restricts the record stream (retention *and*
     subscriber delivery; counters always update); record retention can be
     disabled entirely for long benches with ``keep_records=False`` —
-    subscribers still see every (enabled) record live.
+    subscribers still see every (enabled) record they want, live.
     """
 
     def __init__(
@@ -70,8 +103,11 @@ class Tracer:
         self._keep_records = keep_records
         self._enabled = enabled_categories
         self._disabled: Set[str] = set()
-        self._muted: frozenset = frozenset()
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
+        self._subscribers: List[Tuple[Subscriber, Optional[Wants]]] = []
+        #: (category, event) -> (counter key, retain?, subscribers wanting
+        #: it); built lazily by :meth:`_route`.
+        self._routes: Dict[Tuple[str, str],
+                           Tuple[str, bool, Tuple[Subscriber, ...]]] = {}
         self._now: Callable[[], float] = lambda: 0.0
         #: Span ids currently open on this trace stream; maintained by
         #: :class:`repro.obs.spans.SpanEmitter` so that cross-component
@@ -82,13 +118,18 @@ class Tracer:
         """Attach the simulation clock so records carry simulated time."""
         self._now = now
 
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
-        """Register a live callback invoked for every emitted record.
+    def subscribe(self, fn: Subscriber,
+                  wants: Optional[Wants] = None) -> None:
+        """Register a live callback for emitted records.
 
-        Subscribers see the same filtered stream retention does: records of
-        categories outside ``enabled_categories`` are delivered to no one.
+        ``wants(category, event)`` declares which events ``fn`` consumes
+        (see :func:`declared_interest`); without it ``fn`` receives every
+        record.  Either way subscribers see the same filtered stream
+        retention does: records of categories outside
+        ``enabled_categories`` are delivered to no one.
         """
-        self._subscribers.append(fn)
+        self._subscribers.append((fn, wants))
+        self._routes.clear()
 
     def set_disabled_categories(self, categories: Set[str]) -> None:
         """Blocklist: suppress the record stream (retention *and*
@@ -96,40 +137,41 @@ class Tracer:
         every allowed one.  Counters still count.  Complements
         ``enabled_categories``: a category must pass both filters."""
         self._disabled = set(categories)
+        self._routes.clear()
 
-    def set_muted_events(self, events) -> None:
-        """Mute individual ``category.event`` record streams: no record
-        is created, retained, or delivered to subscribers; the counter
-        keeps counting.  Finer-grained than the category filters — built
-        for provably consumer-less high-volume events on the live hot
-        path, where building and fanning out a record that every
-        subscriber ignores is pure overhead."""
-        self._muted = frozenset(events)
+    def _route(self, category: str, event: str
+               ) -> Tuple[str, bool, Tuple[Subscriber, ...]]:
+        """Decide, once per event, its counter key, whether its records
+        are retained, and which subscribers receive them."""
+        visible = ((self._enabled is None or category in self._enabled)
+                   and category not in self._disabled)
+        subscribers = tuple(
+            fn for fn, wants in self._subscribers
+            if wants is None or wants(category, event)) if visible else ()
+        route = (f"{category}.{event}", visible and self._keep_records,
+                 subscribers)
+        self._routes[(category, event)] = route
+        return route
 
     def emit(self, category: str, event: str, **fields: Any) -> None:
         """Record an event and bump its counter (``category.event``).
 
-        The counter updates unconditionally.  The record itself is produced
-        only if the category is enabled and the event is not muted, and is
-        then both retained (when ``keep_records``) and fanned out to every
-        subscriber — the filters apply uniformly to retention and
-        subscription.
+        The counter updates unconditionally.  A record is built only if
+        it is retained (``keep_records`` and the category passes the
+        filters) or some subscriber wants it, and then goes to exactly
+        those consumers.
         """
-        key = f"{category}.{event}"
+        try:
+            key, keep, subscribers = self._routes[(category, event)]
+        except KeyError:
+            key, keep, subscribers = self._route(category, event)
         self.counters[key] += 1
-        if key in self._muted:
-            return
-        if self._enabled is not None and category not in self._enabled:
-            return
-        if category in self._disabled:
-            return
-        if not self._keep_records and not self._subscribers:
-            return
-        record = TraceRecord(self._now(), category, event, fields)
-        if self._keep_records:
-            self.records.append(record)
-        for fn in self._subscribers:
-            fn(record)
+        if keep or subscribers:
+            record = TraceRecord(self._now(), category, event, fields)
+            if keep:
+                self.records.append(record)
+            for fn in subscribers:
+                fn(record)
 
     def scoped(self, **extra: Any) -> "ScopedTracer":
         """A view of this tracer whose emits carry ``extra`` fields.
@@ -225,7 +267,8 @@ class NullTracer(Tracer):
     def add(self, key: str, amount: int) -> None:
         """Discard the counter bump."""
 
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
+    def subscribe(self, fn: Subscriber,
+                  wants: Optional[Wants] = None) -> None:
         """Ignore the subscription: a null tracer never emits records."""
 
 

@@ -140,7 +140,10 @@ class Network:
         self._filters.remove(fn)
 
     def _dropped(self, src: str, dst: str, payload: Any, size: int) -> bool:
-        return any(f(src, dst, payload, size) for f in self._filters)
+        for f in self._filters:
+            if f(src, dst, payload, size):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Transmission
@@ -211,11 +214,25 @@ class Network:
         self.tracer.emit("net", "broadcast", src=src, size=size_bytes)
         self.tracer.add("net.bytes", size_bytes)
         arrival = self._occupy_medium(size_bytes)
+        dsts = []
         for dst in self._nodes:
             if self._dropped(src, dst, payload, size_bytes):
                 self.tracer.emit("net", "drop", src=src, dst=dst)
                 continue
-            self.scheduler.call_at(arrival, self._deliver, src, dst, payload)
+            dsts.append(dst)
+        if dsts:
+            self.scheduler.call_at(arrival, self._deliver_frame, src,
+                                   dsts, payload)
+
+    def _deliver_frame(self, src: str, dsts: List[str],
+                       payload: Any) -> None:
+        """One scheduled event per broadcast frame: hand it to each
+        destination in attach order.  Drop decisions were made at send
+        time, and a callback a receiver schedules for "now" still runs
+        after every destination has the frame — the order one event per
+        destination gave, at a fraction of the scheduler work."""
+        for dst in dsts:
+            self._deliver(src, dst, payload)
 
     def _deliver(self, src: str, dst: str, payload: Any) -> None:
         process = self._nodes.get(dst)

@@ -37,9 +37,6 @@ class Event:
         """Mark the event so the scheduler skips it."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         flag = " cancelled" if self.cancelled else ""
@@ -62,7 +59,10 @@ class Scheduler(SchedulerInterface):
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        #: ``(time, seq, event)`` entries: ``seq`` is unique, so heap
+        #: comparisons settle on the first two fields, in C, and never
+        #: reach the event.
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._executed = 0
 
@@ -90,8 +90,9 @@ class Scheduler(SchedulerInterface):
             raise ClockError(
                 f"cannot schedule at t={time:.9f}, now is t={self._now:.9f}"
             )
-        event = Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -111,11 +112,12 @@ class Scheduler(SchedulerInterface):
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._executed += 1
             event.fn(*event.args)
             return True
@@ -132,14 +134,15 @@ class Scheduler(SchedulerInterface):
         """Run events with timestamp <= ``time``; leave ``now`` at ``time``."""
         if time < self._now:
             raise ClockError(f"run_until({time}) is in the past (now={self._now})")
+        heap = self._heap
         for _ in range(max_events):
-            if not self._heap:
+            if not heap:
                 break
-            head = self._heap[0]
+            head_time, _, head = heap[0]
             if head.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
-            if head.time > time:
+            if head_time > time:
                 break
             self.step()
         else:
@@ -162,7 +165,7 @@ class Scheduler(SchedulerInterface):
         for _ in range(max_events):
             if not predicate():
                 return True
-            if not self._heap or self._heap[0].time > deadline:
+            if not self._heap or self._heap[0][0] > deadline:
                 self._now = max(self._now, deadline)
                 return not predicate()
             self.step()
@@ -170,4 +173,4 @@ class Scheduler(SchedulerInterface):
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)

@@ -6,6 +6,7 @@ from repro.core.identifiers import ConnectionKey, OpKind
 from repro.core.infra_state import InfraState
 from repro.core.interceptor import Interceptor
 from repro.core.orb_state import OrbStateTracker
+from repro.errors import ProtocolError
 from repro.giop.messages import (
     ReplyMessage,
     RequestMessage,
@@ -100,3 +101,11 @@ def test_server_reply_captured_with_request_id():
     envelope = sent[0]
     assert envelope.kind is OpKind.REPLY
     assert envelope.request_id == 42
+    assert envelope.iiop_bytes is reply
+
+
+def test_capture_server_reply_rejects_non_reply_message():
+    interceptor, sent, infra, orb_state = build()
+    with pytest.raises(ProtocolError, match="expected a GIOP REPLY"):
+        interceptor.capture_server_reply(CONN, request_bytes(7))
+    assert sent == []

@@ -9,7 +9,8 @@ import pytest
 
 from repro import EternalSystem, FTProperties, ReplicationStyle
 from repro.apps.counter import CounterServant
-from repro.core.envelope import GroupUpdate, IiopEnvelope
+from repro.core.envelope import (GroupUpdate, IiopEnvelope, ReplicaFault,
+                                 encode_envelope)
 from repro.core.identifiers import ConnectionKey, OpKind
 from repro.core.replication import STATUS_OPERATIONAL, STATUS_RECOVERING
 
@@ -73,6 +74,54 @@ def test_iiop_for_unhosted_group_ignored():
     envelope = IiopEnvelope(ConnectionKey("x", "ghost"), OpKind.REQUEST,
                             0, "m", b"junk")
     mechanisms._handle_iiop(envelope)        # must not raise
+
+
+def _counting_decodes(monkeypatch):
+    from repro.core import replication
+    calls = []
+    original = replication.decode_envelope
+
+    def counting(payload):
+        calls.append(payload)
+        return original(payload)
+
+    monkeypatch.setattr(replication, "decode_envelope", counting)
+    return calls
+
+
+def test_unhosted_iiop_delivery_skips_the_envelope_decode(monkeypatch):
+    system = make_system()
+    system.run_for(0.05)
+    mechanisms = system.mechanisms("n1")
+    decodes = _counting_decodes(monkeypatch)
+    for kind in OpKind:
+        mechanisms._on_deliver("m", encode_envelope(IiopEnvelope(
+            ConnectionKey("x", "ghost"), kind, 0, "m", b"junk")))
+    assert decodes == []
+    # control traffic is always decoded
+    mechanisms._on_deliver("m", encode_envelope(ReplicaFault("g", "n9")))
+    assert len(decodes) == 1
+
+
+def test_gateway_node_decodes_unplaced_iiop_for_the_port(monkeypatch):
+    system = make_system()
+    system.run_for(0.05)
+    mechanisms = system.mechanisms("n1")
+
+    class Port:
+        def __init__(self):
+            self.seen = []
+
+        def on_unplaced_iiop(self, envelope, mechs):
+            self.seen.append((envelope, mechs))
+
+    mechanisms.gateway = port = Port()
+    decodes = _counting_decodes(monkeypatch)
+    envelope = IiopEnvelope(ConnectionKey("x", "ghost"), OpKind.REQUEST, 3,
+                            "m", b"junk")
+    mechanisms._on_deliver("m", encode_envelope(envelope))
+    assert len(decodes) == 1
+    assert port.seen == [(envelope, mechanisms)]
 
 
 def test_duplicate_request_filtered_per_replica():

@@ -28,7 +28,7 @@ def make_recorder(**overrides):
     recorder = FlightRecorder(config, lambda: clock["now"])
     tracer = Tracer()
     tracer.bind_clock(lambda: clock["now"])
-    tracer.subscribe(recorder.note)
+    recorder.attach(tracer)
     return recorder, tracer, clock
 
 

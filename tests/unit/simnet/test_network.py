@@ -143,3 +143,60 @@ def test_mtu_payload_value():
 def test_node_ids_lists_attached(scheduler):
     network, _ = build(scheduler)
     assert sorted(network.node_ids()) == ["a", "b", "c"]
+
+
+def test_callback_scheduled_by_first_receiver_runs_after_all_deliveries(
+        scheduler):
+    network = Network(scheduler)
+    log = []
+    node_ids = ("a", "b", "c", "d")
+
+    def handler(node_id):
+        def deliver(src, payload):
+            log.append(("deliver", node_id))
+            if node_id == node_ids[0]:
+                scheduler.call_after(0, log.append, ("callback", node_id))
+        return deliver
+
+    for node_id in node_ids:
+        network.attach(Process(scheduler, node_id), handler(node_id))
+    network.broadcast("a", "m", 100)
+    scheduler.run()
+    assert log == [("deliver", n) for n in node_ids] + [("callback", "a")]
+
+
+def test_broadcast_is_one_event_and_same_time_events_keep_insertion_order(
+        scheduler):
+    network, inboxes = build(scheduler)
+    order = []
+    for node_id in inboxes:
+        network.set_handler(node_id,
+                            lambda src, payload, n=node_id:
+                            order.append((n, payload)))
+    network.broadcast("a", "m1", 100)
+    config = network.config
+    arrival = (config.frame_time(100) + config.propagation_delay
+               + config.per_frame_cpu)
+    scheduler.call_at(arrival, order.append, "after-m1")
+    scheduler.call_at(arrival, order.append, "after-that")
+    before = scheduler.events_executed
+    scheduler.run()
+    assert order == [("a", "m1"), ("b", "m1"), ("c", "m1"),
+                     "after-m1", "after-that"]
+    assert scheduler.events_executed - before == 3
+
+
+def test_broadcast_drop_decisions_stay_per_destination(scheduler):
+    network, inboxes = build(scheduler)
+    calls = []
+
+    def drop_b(src, dst, payload, size):
+        calls.append(dst)
+        return dst == "b"
+
+    network.add_filter(drop_b)
+    network.broadcast("a", "m", 100)
+    assert calls == ["a", "b", "c"]     # decided at send, in attach order
+    scheduler.run()
+    assert inboxes["a"] == [("a", "m")] and inboxes["c"] == [("a", "m")]
+    assert inboxes["b"] == []

@@ -1,5 +1,6 @@
 """Unit tests for the tracer."""
 
+from repro.runtime.trace import declared_interest
 from repro.simnet.trace import NULL_TRACER, NullTracer, Tracer
 
 
@@ -105,3 +106,100 @@ def test_clear_resets_open_spans():
     tracer.open_spans.add("sp-1")
     tracer.clear()
     assert tracer.open_spans == set()
+
+
+# ---------------------------------------------------------------------------
+# Per-event dispatch: declared subscriber interests
+# ---------------------------------------------------------------------------
+
+def test_counters_count_events_no_subscriber_wants():
+    tracer = Tracer(keep_records=False)
+    seen = []
+    tracer.subscribe(seen.append, wants=declared_interest({("a", "x")}))
+    tracer.emit("b", "y")
+    tracer.emit("b", "y")
+    assert tracer.count("b.y") == 2
+    assert seen == []
+
+
+def test_declared_subscriber_gets_only_wanted_events():
+    tracer = Tracer(keep_records=False)
+    seen = []
+    tracer.subscribe(seen.append,
+                     wants=declared_interest({("a", "x"), ("c", None)}))
+    for category, event in (("a", "x"), ("a", "y"), ("c", "p"), ("c", "q"),
+                            ("d", "x")):
+        tracer.emit(category, event)
+    assert [(r.category, r.event) for r in seen] == [
+        ("a", "x"), ("c", "p"), ("c", "q")]
+
+
+def test_undeclared_subscriber_sees_every_record():
+    tracer = Tracer(keep_records=False)
+    narrow, everything = [], []
+    tracer.subscribe(narrow.append, wants=declared_interest({("a", "x")}))
+    tracer.subscribe(everything.append)
+    tracer.emit("a", "x")
+    tracer.emit("b", "y")
+    assert len(narrow) == 1
+    assert [(r.category, r.event) for r in everything] == [
+        ("a", "x"), ("b", "y")]
+    # both subscribers get the same record object for a shared event
+    assert narrow[0] is everything[0]
+
+
+def test_subscriber_added_after_emits_starts_receiving():
+    tracer = Tracer(keep_records=False)
+    tracer.emit("a", "x")           # route built with no subscribers
+    late = []
+    tracer.subscribe(late.append, wants=declared_interest({("a", "x")}))
+    tracer.emit("a", "x")
+    assert len(late) == 1
+    assert tracer.count("a.x") == 2
+
+
+def test_retention_does_not_depend_on_subscriber_interest():
+    tracer = Tracer(keep_records=True)
+    tracer.subscribe(lambda r: None, wants=declared_interest(()))
+    tracer.emit("a", "x")
+    assert [(r.category, r.event) for r in tracer.records] == [("a", "x")]
+
+
+def test_enabled_categories_gate_declared_subscribers_and_retention():
+    tracer = Tracer(enabled_categories={"keep"})
+    seen = []
+    tracer.subscribe(seen.append,
+                     wants=declared_interest({("keep", None),
+                                              ("drop", None)}))
+    tracer.emit("keep", "a")
+    tracer.emit("drop", "b")
+    assert [r.category for r in tracer.records] == ["keep"]
+    assert [r.category for r in seen] == ["keep"]
+    assert tracer.count("drop.b") == 1
+
+
+def test_set_disabled_categories_applies_after_earlier_emits():
+    tracer = Tracer()
+    seen = []
+    tracer.subscribe(seen.append)
+    tracer.emit("noisy", "a")       # route built while enabled
+    tracer.set_disabled_categories({"noisy"})
+    tracer.emit("noisy", "a")
+    assert len(seen) == 1 and len(tracer.records) == 1
+    assert tracer.count("noisy.a") == 2
+    tracer.set_disabled_categories(set())
+    tracer.emit("noisy", "a")
+    assert len(seen) == 2 and len(tracer.records) == 2
+
+
+def test_scoped_tracer_stamps_fields_through_declared_routes():
+    tracer = Tracer(keep_records=False)
+    seen = []
+    tracer.subscribe(seen.append, wants=declared_interest({("a", None)}))
+    scoped = tracer.scoped(ring="r1")
+    scoped.emit("a", "x", node="n1")
+    scoped.emit("a", "y", ring="explicit")
+    scoped.emit("b", "z")
+    assert [r.fields for r in seen] == [
+        {"node": "n1", "ring": "r1"}, {"ring": "explicit"}]
+    assert tracer.count("b.z") == 1
